@@ -24,7 +24,7 @@ type Pager interface {
 	Alloc() (uint64, error)
 	Free(id uint64) error
 	WriteOverflow(val []byte) (uint64, error)
-	ReadOverflow(head uint64, total int) ([]byte, error)
+	AppendOverflow(dst []byte, head uint64, total int) ([]byte, error)
 	FreeOverflow(head uint64) error
 }
 
@@ -72,21 +72,54 @@ type node struct {
 	children []uint64 // inner: len(keys)+1 children
 }
 
+// nodeHeader is the encoded size of a node before its entries: type,
+// key count, and the leaf's next pointer or the inner node's child 0.
+const nodeHeader = 11
+
 func (n *node) size() int {
-	s := 11 // type + nkeys + next/child0
-	for i, k := range n.keys {
-		if n.leaf {
-			s += 2 + 4 + len(k)
-			if n.ovHead[i] != 0 {
-				s += 8
-			} else {
-				s += len(n.vals[i])
-			}
-		} else {
-			s += 2 + len(k) + 8
-		}
+	s := nodeHeader
+	for i := range n.keys {
+		s += n.entrySize(i)
 	}
 	return s
+}
+
+// entrySize is the encoded size of entry i: key and inline value (or
+// overflow head) in a leaf, key and right child in an inner node.
+func (n *node) entrySize(i int) int {
+	if !n.leaf {
+		return 2 + len(n.keys[i]) + 8
+	}
+	if n.ovHead[i] != 0 {
+		return 2 + 4 + len(n.keys[i]) + 8
+	}
+	return 2 + 4 + len(n.keys[i]) + len(n.vals[i])
+}
+
+// splitPoint returns the index at which n splits so the larger half is
+// as small as possible in bytes. A leaf keeps entries [0, mid) and moves
+// [mid, len) right; an inner node also pushes key mid up, so it belongs
+// to neither half. Splitting at the key-count midpoint instead can leave
+// one half over a page when entry sizes are skewed (many small values
+// next to a few near-inline-limit ones).
+func (n *node) splitPoint() int {
+	right := n.size() - nodeHeader
+	left := n.entrySize(0)
+	right -= left
+	best, bestMax := 1, -1
+	for mid := 1; mid < len(n.keys); mid++ {
+		e := n.entrySize(mid)
+		r := right
+		if !n.leaf {
+			r -= e
+		}
+		if m := max(left, r); bestMax < 0 || m < bestMax {
+			best, bestMax = mid, m
+		}
+		left += e
+		right -= e
+	}
+	return best
 }
 
 // load returns the decoded node for a page, serving repeat loads from the
@@ -231,8 +264,15 @@ func search(keys [][]byte, key []byte) int {
 	return lo
 }
 
-// Get returns the value stored under key, or ErrNotFound.
-func (t *Tree) Get(key []byte) ([]byte, error) {
+// Get returns the value stored under key, or ErrNotFound. The result is
+// a fresh slice the caller owns.
+func (t *Tree) Get(key []byte) ([]byte, error) { return t.AppendGet(nil, key) }
+
+// AppendGet appends the value stored under key to dst and returns the
+// extended slice, or ErrNotFound. Reusing dst across calls reads values
+// (overflow chains included) without allocating a buffer per read; the
+// bytes are copied, so the caller may overwrite them freely.
+func (t *Tree) AppendGet(dst, key []byte) ([]byte, error) {
 	if t.root == 0 {
 		return nil, ErrNotFound
 	}
@@ -253,14 +293,16 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	if i >= len(n.keys) || !bytes.Equal(n.keys[i], key) {
 		return nil, ErrNotFound
 	}
-	return t.value(n, i)
+	return t.appendValue(dst, n, i)
 }
 
-func (t *Tree) value(n *node, i int) ([]byte, error) {
+// appendValue appends entry i's value to dst, reading overflow chains
+// through the pager.
+func (t *Tree) appendValue(dst []byte, n *node, i int) ([]byte, error) {
 	if n.ovHead[i] != 0 {
-		return t.p.ReadOverflow(n.ovHead[i], n.ovLen[i])
+		return t.p.AppendOverflow(dst, n.ovHead[i], n.ovLen[i])
 	}
-	return append([]byte(nil), n.vals[i]...), nil
+	return append(dst, n.vals[i]...), nil
 }
 
 // Put inserts or replaces the value under key.
@@ -387,10 +429,7 @@ func (t *Tree) maybeSplit(n *node) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	mid := len(n.keys) / 2
-	if mid == 0 {
-		mid = 1
-	}
+	mid := n.splitPoint()
 	r := &node{id: id, leaf: n.leaf}
 	var sep []byte
 	if n.leaf {
@@ -521,7 +560,7 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) Key() []byte { return c.n.keys[c.idx] }
 
 // Value returns the current value, materializing overflow chains.
-func (c *Cursor) Value() ([]byte, error) { return c.t.value(c.n, c.idx) }
+func (c *Cursor) Value() ([]byte, error) { return c.t.appendValue(nil, c.n, c.idx) }
 
 // Next advances to the next entry in key order.
 func (c *Cursor) Next() {

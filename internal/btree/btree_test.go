@@ -311,3 +311,118 @@ func TestCursorSeekMidRange(t *testing.T) {
 		t.Fatalf("Seek(051) landed on %s, want 052", c.Key())
 	}
 }
+
+// TestSplitByteBalanced is a regression test for leaves split at the
+// key-count midpoint: 60 eight-byte values followed by eight 1000-byte
+// inline values left a right half larger than a page, and storing it
+// panicked. Splits must balance bytes, and every value must read back.
+func TestSplitByteBalanced(t *testing.T) {
+	tr := btree.New(newPager(t))
+	want := map[uint64][]byte{}
+	put := func(k uint64, size int) {
+		v := bytes.Repeat([]byte{byte(k)}, size)
+		if err := tr.Put(kv.U64Key(k), v); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+		want[k] = v
+	}
+	for k := uint64(0); k < 60; k++ {
+		put(k, 8)
+	}
+	for k := uint64(60); k < 68; k++ {
+		put(k, 1000)
+	}
+	for k, v := range want {
+		got, err := tr.Get(kv.U64Key(k))
+		if err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("Get(%d): %d bytes, %v; want %d bytes", k, len(got), err, len(v))
+		}
+	}
+	if n, _ := tr.Len(); n != len(want) {
+		t.Fatalf("Len = %d, want %d", n, len(want))
+	}
+}
+
+// TestSplitMixedSizesModel interleaves tiny and near-inline-limit values
+// and keys of very different lengths in random order, so leaf and inner
+// splits see every byte skew, and checks the tree against a map.
+func TestSplitMixedSizesModel(t *testing.T) {
+	tr := btree.New(newPager(t))
+	rng := rand.New(rand.NewSource(3))
+	model := map[string][]byte{}
+	for i := 0; i < 3000; i++ {
+		k := make([]byte, 1+rng.Intn(8))
+		if rng.Intn(8) == 0 {
+			k = make([]byte, 200+rng.Intn(312))
+		}
+		rng.Read(k)
+		size := rng.Intn(16)
+		if rng.Intn(3) == 0 {
+			size = 600 + rng.Intn(425) // inline, up to the 1024-byte limit
+		}
+		v := make([]byte, size)
+		rng.Read(v)
+		if err := tr.Put(k, v); err != nil {
+			t.Fatalf("Put #%d: %v", i, err)
+		}
+		model[string(k)] = v
+	}
+	for k, v := range model {
+		got, err := tr.Get([]byte(k))
+		if err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("Get(%x): %v", k, err)
+		}
+	}
+	var prev []byte
+	n := 0
+	if err := tr.Scan(nil, nil, func(k, _ []byte) bool {
+		if prev != nil && bytes.Compare(prev, k) >= 0 {
+			t.Fatalf("scan out of order: %x then %x", prev, k)
+		}
+		prev = append(prev[:0], k...)
+		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(model) {
+		t.Fatalf("scan saw %d keys, want %d", n, len(model))
+	}
+}
+
+// TestAppendGet checks the append-into-buffer read for inline and
+// overflow values: the value lands after dst's contents, and a later
+// overwrite of the returned buffer never reaches the tree.
+func TestAppendGet(t *testing.T) {
+	tr := btree.New(newPager(t))
+	small := []byte("inline value")
+	big := bytes.Repeat([]byte("overflow"), 1000)
+	tr.Put([]byte("s"), small)
+	tr.Put([]byte("b"), big)
+	buf := make([]byte, 0, 64)
+	for _, c := range []struct {
+		key  string
+		want []byte
+	}{{"s", small}, {"b", big}, {"s", small}} {
+		got, err := tr.AppendGet(append(buf[:0], "pre"...), []byte(c.key))
+		if err != nil {
+			t.Fatalf("AppendGet(%s): %v", c.key, err)
+		}
+		if string(got[:3]) != "pre" || !bytes.Equal(got[3:], c.want) {
+			t.Fatalf("AppendGet(%s): got %d bytes", c.key, len(got))
+		}
+		for i := range got {
+			got[i] = 0xFF
+		}
+		buf = got
+	}
+	if v, _ := tr.Get([]byte("b")); !bytes.Equal(v, big) {
+		t.Fatal("overwriting the AppendGet buffer changed the stored overflow value")
+	}
+	if v, _ := tr.Get([]byte("s")); !bytes.Equal(v, small) {
+		t.Fatal("overwriting the AppendGet buffer changed the stored inline value")
+	}
+	if _, err := tr.AppendGet(nil, []byte("missing")); err != btree.ErrNotFound {
+		t.Fatalf("missing key: err = %v", err)
+	}
+}

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -134,5 +136,155 @@ func TestSegDecodeCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeCodes([]byte{segRLE, 2, 1, 0}); err == nil {
 		t.Fatal("short code runs decoded without error")
+	}
+}
+
+// packedCodesBlob builds a bit-packed code blob of the given width
+// directly, so widths the encoder never picks (32: raw is smaller) are
+// still covered.
+func packedCodesBlob(v []uint32, width int) []byte {
+	out := append(segHeader(segPacked, len(v)), byte(width))
+	return appendPacked(out, v, 0, width)
+}
+
+func TestCodeSegPackedWidths(t *testing.T) {
+	rnd := rand.New(rand.NewSource(2))
+	for width := 0; width <= 32; width++ {
+		for _, n := range []int{1, 3, 7, 9, 13, 1021, 1024} {
+			in := make([]uint32, n)
+			limit := uint64(1) << width
+			for i := range in {
+				in[i] = uint32(rnd.Uint64() % limit)
+			}
+			in[rnd.Intn(n)] = uint32(limit - 1) // pin the width
+			got, err := DecodeCodes(packedCodesBlob(in, width))
+			if err != nil || !reflect.DeepEqual(got, in) {
+				t.Fatalf("width %d, %d rows: packed round trip failed (err=%v)", width, n, err)
+			}
+			blob := EncodeCodes(in)
+			if got, err := DecodeCodes(blob); err != nil || !reflect.DeepEqual(got, in) {
+				t.Fatalf("width %d, %d rows: EncodeCodes round trip failed (err=%v)", width, n, err)
+			}
+			if width < 32 && blob[0] == segPacked && int(blob[len(segHeader(0, n))]) != width {
+				t.Fatalf("width %d, %d rows: encoder chose width %d", width, n, blob[len(segHeader(0, n))])
+			}
+		}
+	}
+}
+
+func TestCodeSegPicksPacked(t *testing.T) {
+	v := make([]uint32, 1024)
+	rnd := rand.New(rand.NewSource(3))
+	for i := range v {
+		v[i] = uint32(rnd.Intn(16)) // 16 labels: 4 bits a row
+	}
+	blob := EncodeCodes(v)
+	if blob[0] != segPacked || len(blob) != 3+1+512 {
+		t.Fatalf("16-label block: tag %d, %d bytes; want packed, 516 bytes", blob[0], len(blob))
+	}
+	for i := range v {
+		v[i] = 9
+	}
+	if blob := EncodeCodes(v); blob[0] != segRLE || len(blob) > 8 {
+		t.Fatalf("constant block: tag %d, %d bytes; want one RLE run", blob[0], len(blob))
+	}
+	for i := range v {
+		v[i] = 0
+	}
+	if blob := EncodeCodes(v); blob[0] != segPacked || len(blob) != 4 {
+		t.Fatalf("all-zero block: tag %d, %d bytes; want zero-width packed", blob[0], len(blob))
+	}
+}
+
+func TestCodeSegCorruptPacked(t *testing.T) {
+	in := make([]uint32, 13)
+	for i := range in {
+		in[i] = uint32(i * 37)
+	}
+	for width := 9; width <= 32; width += 23 {
+		blob := packedCodesBlob(in, width)
+		for cut := 0; cut < len(blob); cut++ {
+			if _, err := DecodeCodes(blob[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("width %d cut at %d/%d: err = %v, want ErrCorrupt", width, cut, len(blob), err)
+			}
+		}
+		long := append(append([]byte(nil), blob...), 0)
+		if _, err := DecodeCodes(long); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("width %d with a trailing byte: err = %v, want ErrCorrupt", width, err)
+		}
+	}
+	for _, width := range []byte{33, 64, 255} {
+		blob := append(segHeader(segPacked, 2), width)
+		blob = append(blob, make([]byte, (2*int(width)+7)/8)...)
+		if _, err := DecodeCodes(blob); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("width %d: err = %v, want ErrCorrupt", width, err)
+		}
+	}
+}
+
+// TestCodeSegLegacyFixtures pins the raw and run-length layouts written
+// before the packed layout existed: stores spilled then still reopen.
+func TestCodeSegLegacyFixtures(t *testing.T) {
+	cases := []struct {
+		blob []byte
+		want []uint32
+	}{
+		// raw: tag 0, count 3, three little-endian uint32s
+		{[]byte{0x00, 0x03, 0x01, 0, 0, 0, 0x02, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, []uint32{1, 2, math.MaxUint32}},
+		// RLE: tag 1, count 5, runs (3 x 7) and (2 x 128)
+		{[]byte{0x01, 0x05, 0x03, 0x07, 0x02, 0x80, 0x01}, []uint32{7, 7, 7, 128, 128}},
+		// RLE: one run of 1024 zeros
+		{[]byte{0x01, 0x80, 0x08, 0x80, 0x08, 0x00}, make([]uint32, 1024)},
+	}
+	for i, c := range cases {
+		got, err := DecodeCodes(c.blob)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("fixture %d: got %v, %v", i, got, err)
+		}
+	}
+}
+
+// FuzzDecodeCodes feeds arbitrary bytes to DecodeCodes: it must never
+// panic, every failure must be ErrCorrupt, and whatever decodes must
+// survive an encode/decode round trip.
+func FuzzDecodeCodes(f *testing.F) {
+	f.Add([]byte{0x00, 0x03, 0x01, 0, 0, 0, 0x02, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0x01, 0x05, 0x03, 0x07, 0x02, 0x80, 0x01})
+	f.Add(packedCodesBlob([]uint32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 4))
+	f.Add(packedCodesBlob([]uint32{0, math.MaxUint32, 77}, 32))
+	f.Add([]byte{segPacked, 0x02, 33, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := DecodeCodes(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		again, err := DecodeCodes(EncodeCodes(got))
+		if err != nil || len(again) != len(got) || (len(got) > 0 && !reflect.DeepEqual(again, got)) {
+			t.Fatalf("re-encode round trip failed: %v", err)
+		}
+	})
+}
+
+func TestIntSegPackedWidths(t *testing.T) {
+	rnd := rand.New(rand.NewSource(4))
+	for width := 0; width <= 56; width++ {
+		for _, n := range []int{1, 7, 1021} {
+			base := int64(rnd.Uint64())
+			in := make([]int64, n)
+			for i := range in {
+				in[i] = base + int64(rnd.Uint64()&(1<<width-1))
+			}
+			blob := binary.LittleEndian.AppendUint64(segHeader(segPacked, n), uint64(base))
+			blob = appendPacked(append(blob, byte(width)), in, base, width)
+			if got, err := DecodeInts(blob); err != nil || !reflect.DeepEqual(got, in) {
+				t.Fatalf("width %d, %d rows: packed round trip failed (err=%v)", width, n, err)
+			}
+			if got, err := DecodeInts(EncodeInts(in)); err != nil || !reflect.DeepEqual(got, in) {
+				t.Fatalf("width %d, %d rows: EncodeInts round trip failed (err=%v)", width, n, err)
+			}
+		}
 	}
 }

@@ -130,6 +130,9 @@ func (c *Column) segRows(sg *colSegment, st *ScanStats) *segData {
 	if d := sg.data.Load(); d != nil {
 		if c.spill != nil && sg.ondisk.Load() {
 			c.spill.cache.touch(sg)
+			if st != nil {
+				st.SegHits++
+			}
 		}
 		return d
 	}
@@ -146,11 +149,7 @@ func (c *Column) loadSeg(sg *colSegment, st *ScanStats) *segData {
 	sp := c.spill
 	var d *segData
 	if sp != nil {
-		if raw, err := sp.bucket.Get(segKey(c.field, sg.zone.lo/ColumnBlockSize)); err == nil {
-			if dd, derr := decodeSegData(c.kind, sg.rows(), raw); derr == nil {
-				d = dd
-			}
-		}
+		d = sp.readSeg(c.field, sg.zone.lo/ColumnBlockSize, c.kind, sg.rows())
 		if d != nil {
 			sp.cache.loads.Add(1)
 		} else {
@@ -437,12 +436,15 @@ func (c *Column) addCode(s string) uint32 {
 // ScanStats reports one columnar predicate evaluation's pruning work:
 // how many zone-mapped segments the column holds, how many the zone maps
 // skipped, how many rows the surviving segments actually swept, and how
-// many cold segments had to be faulted in from the spill tier.
+// many spilled segments had to be faulted in from the spill tier or
+// were found resident. TopKStats fills the same record for top-k.
 type ScanStats struct {
 	Blocks      int // zone-mapped segments in the column
 	Pruned      int // segments skipped by zone-map/dictionary pruning
 	RowsScanned int // rows swept in unpruned segments
 	SegLoads    int // evicted segments faulted in from the disk tier
+	SegHits     int // spilled segments found resident (no fault)
+	TopKSkipped int // top-k candidate segments never visited (zone-ordered int path)
 }
 
 // Add accumulates o into s (aggregating the fragments of one query).
@@ -451,6 +453,8 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.Pruned += o.Pruned
 	s.RowsScanned += o.RowsScanned
 	s.SegLoads += o.SegLoads
+	s.SegHits += o.SegHits
+	s.TopKSkipped += o.TopKSkipped
 }
 
 // FilterEq evaluates field == v into a selection index list in row
@@ -638,14 +642,36 @@ func (cs *ColumnStore) Materialize(sel []int32) []*Patch {
 // Value). sel is the candidate row set in row order; nil means all rows.
 // ok is false when the field has no column.
 func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int32, bool) {
+	top, _, ok := cs.TopKStats(sel, field, desc, k)
+	return top, ok
+}
+
+// TopKStats is TopK reporting its segment work (see FilterEqStats):
+// Blocks counts the segments holding candidate rows, RowsScanned the
+// candidate rows compared, SegLoads and SegHits the spilled segments
+// faulted in or found resident, and TopKSkipped the candidate segments
+// the zone-ordered int path never had to visit.
+func (cs *ColumnStore) TopKStats(sel []int32, field string, desc bool, k int) ([]int32, ScanStats, bool) {
+	var st ScanStats
 	col, okc := cs.Column(field)
 	if !okc {
-		return nil, false
+		return nil, st, false
 	}
 	n := len(sel)
 	all := sel == nil
 	if all {
 		n = len(cs.patches)
+	}
+	if k > n {
+		k = n
+	}
+	if k <= 0 {
+		return []int32{}, st, true
+	}
+	spans := col.candidateSpans(sel)
+	st.Blocks = len(spans)
+	if col.kind == KindInt {
+		return col.topKInt(spans, sel, desc, k, &st), st, true
 	}
 	row := func(i int) int32 {
 		if all {
@@ -653,26 +679,13 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 		}
 		return sel[i]
 	}
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return []int32{}, true
-	}
 	// Pin every candidate segment's data up front: the comparator then
 	// reads plain arrays, and a concurrent eviction cannot stall the sort.
 	datas := make([]*segData, len(col.segs))
-	if all {
-		for si, sg := range col.segs {
-			datas[si] = col.segRows(sg, nil)
-		}
-	} else {
-		for _, r := range sel {
-			if si := int(r) / ColumnBlockSize; datas[si] == nil {
-				datas[si] = col.segRows(col.segs[si], nil)
-			}
-		}
+	for _, sp := range spans {
+		datas[sp.si] = col.segRows(col.segs[sp.si], &st)
 	}
+	st.RowsScanned = n
 	// before reports whether row a orders strictly before row b in the
 	// output: Value.Less on the column values (null = zero Value, whose
 	// kind 0 sorts below every real kind), ties in row order.
@@ -689,8 +702,6 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 		}
 		var less, greater bool
 		switch col.kind {
-		case KindInt:
-			less, greater = da.ints[ja] < db.ints[jb], da.ints[ja] > db.ints[jb]
 		case KindFloat:
 			less, greater = da.floats[ja] < db.floats[jb], da.floats[ja] > db.floats[jb]
 		case KindStr:
@@ -715,7 +726,148 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 	for i, idx := range top {
 		out[i] = row(idx)
 	}
-	return out, true
+	return out, st, true
+}
+
+// segSpan is one segment's share of a top-k candidate set: segment si,
+// and candidate positions [lo, hi) — rows when the candidates are every
+// row, indexes into the selection list otherwise.
+type segSpan struct{ si, lo, hi int }
+
+// candidateSpans groups the candidate rows (sel in row order; nil means
+// every row) by segment, in segment order.
+func (c *Column) candidateSpans(sel []int32) []segSpan {
+	if sel == nil {
+		spans := make([]segSpan, len(c.segs))
+		for si, sg := range c.segs {
+			spans[si] = segSpan{si, sg.zone.lo, sg.zone.hi}
+		}
+		return spans
+	}
+	var spans []segSpan
+	for i := 0; i < len(sel); {
+		si := int(sel[i]) / ColumnBlockSize
+		j := i + 1
+		for j < len(sel) && int(sel[j])/ColumnBlockSize == si {
+			j++
+		}
+		spans = append(spans, segSpan{si, i, j})
+		i = j
+	}
+	return spans
+}
+
+// intRank is one int-column row in top-k output order: null rows order
+// first ascending and last descending, values by value, ties by row.
+type intRank struct {
+	v    int64
+	null bool
+	row  int32
+}
+
+// valueBefore orders two (null, value) pairs for the output, ignoring
+// rows: -1 when a comes first, 1 when b does, 0 on a tie.
+func valueBefore(a, b intRank, desc bool) int {
+	switch {
+	case a.null != b.null:
+		if a.null != desc {
+			return -1
+		}
+		return 1
+	case a.null || a.v == b.v:
+		return 0
+	case (a.v < b.v) != desc:
+		return -1
+	}
+	return 1
+}
+
+func (a intRank) before(b intRank, desc bool) bool {
+	if c := valueBefore(a, b, desc); c != 0 {
+		return c < 0
+	}
+	return a.row < b.row
+}
+
+// topKInt is TopK for int columns, ordered by the zone maps: candidate
+// segments are visited best bound first — ascending, segments holding
+// nulls first, then by minimum; descending, by maximum, all-null
+// segments last — into a bounded heap on (value, row), and the scan
+// stops before the first segment whose bound is strictly worse than the
+// current kth row. Nothing after it can enter the heap, so its segments
+// are never faulted in. On a column that grows with row index (a rank
+// or timestamp) a descending top-k touches one or two segments. The
+// result equals the full-pin path's: the heap keeps the k first rows of
+// a strict total order, whatever order it sees them in. Float columns
+// do not take this path: zone maps do not record NaN, which is
+// unordered, so a float bound can not prove a segment worse.
+func (c *Column) topKInt(spans []segSpan, sel []int32, desc bool, k int, st *ScanStats) []int32 {
+	// bound is the best entry segment si could hold, in output order.
+	bound := func(si int) intRank {
+		sg := c.segs[si]
+		z := sg.zone
+		if desc {
+			return intRank{v: z.maxI, null: z.allNull}
+		}
+		return intRank{v: z.minI, null: sg.nnull > 0}
+	}
+	sort.SliceStable(spans, func(a, b int) bool {
+		return valueBefore(bound(spans[a].si), bound(spans[b].si), desc) < 0
+	})
+	h := make([]intRank, 0, k)
+	down := func(i int) {
+		for {
+			worst := i
+			if l := 2*i + 1; l < len(h) && h[worst].before(h[l], desc) {
+				worst = l
+			}
+			if r := 2*i + 2; r < len(h) && h[worst].before(h[r], desc) {
+				worst = r
+			}
+			if worst == i {
+				return
+			}
+			h[i], h[worst] = h[worst], h[i]
+			i = worst
+		}
+	}
+	for si, sp := range spans {
+		if len(h) == k && valueBefore(h[0], bound(sp.si), desc) < 0 {
+			st.TopKSkipped = len(spans) - si
+			break
+		}
+		sg := c.segs[sp.si]
+		d := c.segRows(sg, st)
+		st.RowsScanned += sp.hi - sp.lo
+		for i := sp.lo; i < sp.hi; i++ {
+			r := int32(i)
+			if sel != nil {
+				r = sel[i]
+			}
+			j := int(r) - sg.zone.lo
+			e := intRank{null: d.null(j), row: r}
+			if !e.null {
+				e.v = d.ints[j]
+			}
+			switch {
+			case len(h) < k:
+				if h = append(h, e); len(h) == k {
+					for x := k/2 - 1; x >= 0; x-- {
+						down(x)
+					}
+				}
+			case e.before(h[0], desc):
+				h[0] = e
+				down(0)
+			}
+		}
+	}
+	sort.Slice(h, func(a, b int) bool { return h[a].before(h[b], desc) })
+	out := make([]int32, len(h))
+	for i, e := range h {
+		out[i] = e.row
+	}
+	return out
 }
 
 // --------------------------------------------------------- aggregation ----

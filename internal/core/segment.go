@@ -203,6 +203,7 @@ type SegmentCache struct {
 
 	spills      atomic.Int64
 	spillErrors atomic.Int64
+	hits        atomic.Int64
 	loads       atomic.Int64
 	loadFaults  atomic.Int64
 	evictions   atomic.Int64
@@ -255,8 +256,9 @@ func (sc *SegmentCache) insert(sg *colSegment, size int64) {
 	sc.mu.Unlock()
 }
 
-// touch marks a tracked segment recently used.
+// touch marks a tracked segment recently used, counting a cache hit.
 func (sc *SegmentCache) touch(sg *colSegment) {
+	sc.hits.Add(1)
 	sc.mu.Lock()
 	if e, ok := sc.elems[sg]; ok {
 		sc.ll.MoveToFront(e)
@@ -282,6 +284,7 @@ func (sc *SegmentCache) EvictAll() {
 type SegmentCacheStats struct {
 	Spills           int64 // sealed segments written to disk
 	SpillErrors      int64 // failed segment or manifest writes (segment stays pinned)
+	Hits             int64 // reads of spilled segments served resident
 	Loads            int64 // cold segments read back from disk
 	LoadFaults       int64 // unreadable spilled segments rebuilt from the row snapshot
 	Evictions        int64 // resident segments dropped under budget pressure
@@ -301,6 +304,7 @@ func (sc *SegmentCache) Stats() SegmentCacheStats {
 	return SegmentCacheStats{
 		Spills:           sc.spills.Load(),
 		SpillErrors:      sc.spillErrors.Load(),
+		Hits:             sc.hits.Load(),
 		Loads:            sc.loads.Load(),
 		LoadFaults:       sc.loadFaults.Load(),
 		Evictions:        sc.evictions.Load(),
@@ -308,6 +312,16 @@ func (sc *SegmentCache) Stats() SegmentCacheStats {
 		ResidentSegments: nres,
 		Budget:           sc.budget,
 	}
+}
+
+// HitRatio is the share of spilled-segment reads served resident:
+// Hits / (Hits + Loads + LoadFaults), 0 before any read.
+func (s SegmentCacheStats) HitRatio() float64 {
+	reads := s.Hits + s.Loads + s.LoadFaults
+	if reads == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(reads)
 }
 
 // --------------------------------------------------------- spill layer ----
@@ -480,6 +494,29 @@ func (sp *columnSpill) persist(col *Column) {
 	if err != nil {
 		sp.cache.spillErrors.Add(1)
 	}
+}
+
+// segReadBufs pools the buffers spilled segments are read into. A fault
+// copies the blob out of the kv page cache into a reused buffer and
+// decodes from there, so the decoded arrays — which never alias the
+// buffer — are its only allocations.
+var segReadBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readSeg reads and decodes field's si-th spilled segment, or returns
+// nil when the bytes are missing or corrupt.
+func (sp *columnSpill) readSeg(field string, si int, kind ValueKind, rows int) *segData {
+	buf := segReadBufs.Get().(*[]byte)
+	defer segReadBufs.Put(buf)
+	raw, err := sp.bucket.AppendGet((*buf)[:0], segKey(field, si))
+	if err != nil {
+		return nil
+	}
+	*buf = raw
+	d, err := decodeSegData(kind, rows, raw)
+	if err != nil {
+		return nil
+	}
+	return d
 }
 
 // rehydrate rebuilds field's column from the manifest: spilled sealed

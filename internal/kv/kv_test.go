@@ -126,6 +126,65 @@ func TestOverflowRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendOverflowReusesBuffer reads overflow chains into one reused
+// buffer: values land after dst's prefix, a wrong total is reported as
+// corruption, and the bytes handed back never alias the page cache.
+func TestAppendOverflowReusesBuffer(t *testing.T) {
+	p, err := OpenPager(filepath.Join(t.TempDir(), "p.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	buf := make([]byte, 0, 4*overflowCap)
+	for _, n := range []int{0, 5, overflowCap + 1, 3*overflowCap + 17} {
+		val := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(val)
+		head, err := p.WriteOverflow(val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.AppendOverflow(append(buf[:0], 'x'), head, n)
+		if err != nil || got[0] != 'x' || !bytes.Equal(got[1:], val) {
+			t.Fatalf("AppendOverflow(%d) mismatch (err=%v)", n, err)
+		}
+		for i := range got {
+			got[i] ^= 0xFF
+		}
+		again, err := p.ReadOverflow(head, n)
+		if err != nil || !bytes.Equal(again, val) {
+			t.Fatalf("overwriting the read buffer changed stored chain %d", n)
+		}
+		if _, err := p.AppendOverflow(buf[:0], head, n+1); !errors.Is(err, ErrCorruptVal) {
+			t.Fatalf("long total: err = %v, want ErrCorruptVal", err)
+		}
+		if n > 0 {
+			if _, err := p.AppendOverflow(buf[:0], head, n-1); !errors.Is(err, ErrCorruptVal) {
+				t.Fatalf("short total: err = %v, want ErrCorruptVal", err)
+			}
+		}
+		buf = got
+	}
+}
+
+func TestBucketAppendGet(t *testing.T) {
+	s := openTemp(t)
+	b, _ := s.Bucket("b")
+	big := bytes.Repeat([]byte{7}, 3*PageSize)
+	b.Put([]byte("small"), []byte("v"))
+	b.Put([]byte("big"), big)
+	got, err := b.AppendGet([]byte("pre"), []byte("big"))
+	if err != nil || string(got[:3]) != "pre" || !bytes.Equal(got[3:], big) {
+		t.Fatalf("AppendGet(big): %d bytes, %v", len(got), err)
+	}
+	got, err = b.AppendGet(got[:0], []byte("small"))
+	if err != nil || string(got) != "v" {
+		t.Fatalf("AppendGet(small) = %q, %v", got, err)
+	}
+	if _, err := b.AppendGet(nil, []byte("missing")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing key: err = %v, want ErrNotFound", err)
+	}
+}
+
 func TestBucketBasic(t *testing.T) {
 	s := openTemp(t)
 	b, err := s.Bucket("frames")

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -352,30 +353,46 @@ func (p *Pager) WriteOverflow(val []byte) (uint64, error) {
 	return head, nil
 }
 
-// ReadOverflow reassembles a value stored by WriteOverflow.
+// ReadOverflow reassembles a value stored by WriteOverflow into a fresh
+// slice.
 func (p *Pager) ReadOverflow(head uint64, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
-	id := head
-	for id != 0 {
-		buf, err := p.Read(id)
+	return p.AppendOverflow(make([]byte, 0, total), head, total)
+}
+
+// AppendOverflow appends a value stored by WriteOverflow to dst and
+// returns the extended slice. The chain is walked under one lock
+// acquisition and each page's payload is copied out of the page cache,
+// so a caller reusing dst reads values without a per-read allocation
+// and owns every byte it gets back.
+func (p *Pager) AppendOverflow(dst []byte, head uint64, total int) ([]byte, error) {
+	if total < 0 {
+		return nil, ErrCorruptVal
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, total)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	maxPages := total/overflowCap + 1 // a longer chain loops
+	for id, pages := head, 0; id != 0; pages++ {
+		if pages == maxPages {
+			return nil, ErrCorruptVal
+		}
+		buf, err := p.readLocked(id)
 		if err != nil {
 			return nil, err
 		}
 		next := binary.LittleEndian.Uint64(buf)
 		n := int(binary.LittleEndian.Uint32(buf[8:]))
-		if n > overflowCap {
+		if n > overflowCap || len(dst)-base+n > total {
 			return nil, ErrCorruptVal
 		}
-		out = append(out, buf[12:12+n]...)
+		dst = append(dst, buf[12:12+n]...)
 		id = next
-		if len(out) > total {
-			return nil, ErrCorruptVal
-		}
 	}
-	if len(out) != total {
+	if len(dst)-base != total {
 		return nil, ErrCorruptVal
 	}
-	return out, nil
+	return dst, nil
 }
 
 // FreeOverflow releases an overflow chain back to the free list.

@@ -159,10 +159,15 @@ func (b *Bucket) Put(key, val []byte) error {
 }
 
 // Get returns the value under key, or ErrNotFound.
-func (b *Bucket) Get(key []byte) ([]byte, error) {
+func (b *Bucket) Get(key []byte) ([]byte, error) { return b.AppendGet(nil, key) }
+
+// AppendGet appends the value under key to dst and returns the extended
+// slice, or ErrNotFound. The bytes are a copy: callers may reuse dst as
+// a pooled read buffer across calls.
+func (b *Bucket) AppendGet(dst, key []byte) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	v, err := b.t.Get(key)
+	v, err := b.t.AppendGet(dst, key)
 	if errors.Is(err, btree.ErrNotFound) {
 		return nil, fmt.Errorf("%w: bucket %q key %x", ErrNotFound, b.name, key)
 	}

@@ -99,20 +99,21 @@ func clipSelection(cs *core.ColumnStore, sel []int32, n int) *columnSelection {
 // the filter stage's selection when there was one, or over the whole
 // snapshot for unfiltered queries (ocol non-nil) — and falls back to
 // the bounded-heap row top-k, which still avoids sorting rows that can
-// never reach the limit.
-func topKRows(ocol *core.Collection, csel *columnSelection, filtered []*core.Patch, field string, desc bool, k, snapLen int) []*core.Patch {
+// never reach the limit. The returned stats record the columnar top-k's
+// segment work (zero on the row path).
+func topKRows(ocol *core.Collection, csel *columnSelection, filtered []*core.Patch, field string, desc bool, k, snapLen int) ([]*core.Patch, core.ScanStats) {
 	if csel != nil {
-		if top, ok := csel.cs.TopK(csel.sel, field, desc, k); ok {
-			return csel.cs.Materialize(top)
+		if top, st, ok := csel.cs.TopKStats(csel.sel, field, desc, k); ok {
+			return csel.cs.Materialize(top), st
 		}
 	} else if ocol != nil {
 		// Unfiltered: the store must cover exactly this query's snapshot
 		// for nil-selection (all rows) to be correct.
 		if cs, err := ocol.Columns(); err == nil && cs.Len() == snapLen {
-			if top, ok := cs.TopK(nil, field, desc, k); ok {
-				return cs.Materialize(top)
+			if top, st, ok := cs.TopKStats(nil, field, desc, k); ok {
+				return cs.Materialize(top), st
 			}
 		}
 	}
-	return core.TopKPatches(filtered, field, desc, k)
+	return core.TopKPatches(filtered, field, desc, k), core.ScanStats{}
 }

@@ -119,7 +119,7 @@ func TestTopKRowsMatchesSortTrim(t *testing.T) {
 				if len(want) > k {
 					want = want[:k]
 				}
-				got := topKRows(nil, nil, ps, field, desc, k, len(ps))
+				got, _ := topKRows(nil, nil, ps, field, desc, k, len(ps))
 				if len(want) != len(got) {
 					t.Fatalf("%s desc=%v k=%d: %d rows, want %d", field, desc, k, len(got), len(want))
 				}

@@ -117,7 +117,7 @@ func (s *Service) fragmentAttempt(ctx context.Context, req *Request, fval core.V
 			if req.Filter == nil {
 				ocol = col
 			}
-			frag.rows = topKRows(ocol, frag.csel, frag.filtered, req.OrderBy, req.Desc, limit, len(snap))
+			frag.rows, frag.topk = topKRows(ocol, frag.csel, frag.filtered, req.OrderBy, req.Desc, limit, len(snap))
 		}
 		if len(frag.rows) > limit {
 			frag.rows = frag.rows[:limit]

@@ -203,6 +203,9 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 	r.CounterFunc("deeplens_segment_load_faults_total", "Unreadable spilled segments rebuilt from the row snapshot.", nil, func() float64 {
 		return float64(s.segCache.Stats().LoadFaults)
 	})
+	r.GaugeFunc("deeplens_segment_cache_hit_ratio", "Share of spilled column-segment reads served resident rather than faulted in from disk.", nil, func() float64 {
+		return s.segCache.Stats().HitRatio()
+	})
 	r.CounterFunc("deeplens_segment_evictions_total", "Resident column segments dropped under memory-budget pressure.", nil, func() float64 {
 		return float64(s.segCache.Stats().Evictions)
 	})

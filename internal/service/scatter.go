@@ -40,14 +40,17 @@ type shardFragment struct {
 	filtered []*core.Patch
 	rows     []*core.Patch // sorted/trimmed projection input (order/limit)
 	csel     *columnSelection
+	topk     core.ScanStats // columnar top-k segment work (zero on the row path)
 	planOps  []string
 	cost     float64
 }
 
 // annotate attaches the fragment's work record to its trace span:
 // which shard ran, how many rows it held and matched, the access path,
-// and — when the filter ran columnar — the zone-map pruning and
-// column-extension outcome. No-op on untraced queries (nil handle).
+// when the filter ran columnar the zone-map pruning and column-extension
+// outcome, and the spilled segments the filter and top-k faulted in
+// (seg_loads), found resident (seg_hits) or never visited
+// (topk_segs_skipped). No-op on untraced queries (nil handle).
 func (f *shardFragment) annotate(sp *obs.SpanHandle, shard, snapRows int) {
 	if sp == nil {
 		return
@@ -60,11 +63,19 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, shard, snapRows int) {
 		path = f.planOps[0]
 	}
 	sp.Attr("path", path)
+	if c := f.csel; c != nil || f.topk.Blocks > 0 {
+		seg := f.topk
+		if c != nil {
+			seg.Add(c.scan)
+		}
+		sp.AttrInt("seg_loads", int64(seg.SegLoads))
+		sp.AttrInt("seg_hits", int64(seg.SegHits))
+		sp.AttrInt("topk_segs_skipped", int64(seg.TopKSkipped))
+	}
 	if c := f.csel; c != nil {
 		sp.AttrInt("blocks", int64(c.scan.Blocks))
 		sp.AttrInt("blocks_pruned", int64(c.scan.Pruned))
 		sp.AttrInt("rows_scanned", int64(c.scan.RowsScanned))
-		sp.AttrInt("seg_loads", int64(c.scan.SegLoads))
 		switch {
 		case c.colInfo.Extended:
 			sp.Attr("columns", "extended")

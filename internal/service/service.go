@@ -1031,7 +1031,7 @@ func (s *Service) executeQuery(ctx context.Context, w *worker, req *Request) (*R
 			if req.Filter == nil {
 				ocol = col // unfiltered: the snapshot itself may have a column
 			}
-			rows = topKRows(ocol, csel, filtered, req.OrderBy, req.Desc, limit, len(snap))
+			rows, _ = topKRows(ocol, csel, filtered, req.OrderBy, req.Desc, limit, len(snap))
 			plan = append(plan, "order-by("+req.OrderBy+")")
 		}
 		if len(rows) > limit {
