@@ -296,6 +296,9 @@ func (db *DB) DropCollection(name string) error {
 		db.mu.Unlock()
 		return fmt.Errorf("%w: collection %q", ErrNotFound, name)
 	}
+	if c != nil {
+		c.dropped.Store(true)
+	}
 	delete(db.cols, name)
 	delete(db.indexes, name)
 	if descErr == nil {
@@ -432,6 +435,11 @@ type Collection struct {
 	name   string
 	schema Schema
 	bucket *kv.Bucket
+
+	// dropped is set once DropCollection removes the collection from
+	// its DB's catalog, so views that cached this handle (a
+	// ShardedCollection) know to re-resolve the name.
+	dropped atomic.Bool
 
 	mu      sync.Mutex
 	count   int

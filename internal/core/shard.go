@@ -424,7 +424,7 @@ func (s *Sharded) Collection(name string) (*ShardedCollection, error) {
 	s.mu.RLock()
 	sc, ok := s.cols[name]
 	s.mu.RUnlock()
-	if ok {
+	if ok && !sc.stale() {
 		return sc, nil
 	}
 	cols := make([][]*Collection, len(s.reps))
@@ -440,7 +440,7 @@ func (s *Sharded) Collection(name string) (*ShardedCollection, error) {
 	}
 	sc = &ShardedCollection{s: s, name: name, schema: cols[0][0].Schema(), cols: cols}
 	s.mu.Lock()
-	if cached, ok := s.cols[name]; ok { // raced another opener
+	if cached, ok := s.cols[name]; ok && !cached.stale() { // raced another opener
 		sc = cached
 	} else {
 		s.cols[name] = sc
@@ -598,6 +598,21 @@ type ShardedCollection struct {
 	name   string
 	schema Schema
 	cols   [][]*Collection // [shard][replica]
+}
+
+// stale reports whether any partition of the view was dropped from its
+// DB since the view was built — a collection dropped and re-created on
+// a wrapped DB directly, bypassing DropCollection. Such a view must be
+// rebuilt over the live collections, never served.
+func (c *ShardedCollection) stale() bool {
+	for _, rs := range c.cols {
+		for _, col := range rs {
+			if col.dropped.Load() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Name returns the collection name.

@@ -226,6 +226,64 @@ func TestShardedMaterializeAndDrop(t *testing.T) {
 	}
 }
 
+// TestWrapShardedDropRecreateDirect: a collection dropped and re-created
+// directly on a wrapped DB (not through Sharded.DropCollection) must not
+// leave the wrapper serving its cached view over the dropped collection.
+func TestWrapShardedDropRecreateDirect(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "plain.db"), exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := WrapSharded(db)
+	fill := func(rows int) {
+		t.Helper()
+		col, err := db.CreateCollection("dets", shardTestSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := col.Append(shardTestPatch(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill(10)
+	old, err := s.Collection("dets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Len() != 10 {
+		t.Fatalf("view holds %d rows, want 10", old.Len())
+	}
+	if err := db.DropCollection("dets"); err != nil {
+		t.Fatal(err)
+	}
+	fill(4)
+	live, err := db.Collection("dets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := s.Collection("dets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Shard(0) != live {
+		t.Fatal("wrapper serves a view over the dropped collection")
+	}
+	if sc.Len() != 4 {
+		t.Fatalf("view holds %d rows, want the re-created 4", sc.Len())
+	}
+	parts, ver, err := sc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts[0]) != 4 || ver != live.Version() || sc.Version() != live.Version() {
+		t.Fatalf("snapshot %d rows @ v%d (view v%d), want 4 @ v%d",
+			len(parts[0]), ver, sc.Version(), live.Version())
+	}
+}
+
 func TestShardForDeterministicAndBounded(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
 		counts := make([]int, n)

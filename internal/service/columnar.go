@@ -1,13 +1,13 @@
 package service
 
-// Columnar execution glue: the service-side bridge between the request
-// pipeline and core's columnar scan engine. Both the unsharded executor
-// and the per-shard scatter fragments route their non-indexed filter and
-// order-by stages through these helpers, so the two paths stay
-// byte-identical (the N=1 golden contract) while sharing the vectorized
-// block-at-a-time kernels.
+// Columnar execution glue: the service-side bridge between the scatter
+// fragments' non-indexed filter and order-by stages and core's
+// vectorized block-at-a-time scan engine, plus the row-scan fallback
+// for fields the engine cannot project.
 
 import (
+	"context"
+
 	"repro/internal/core"
 )
 
@@ -24,59 +24,64 @@ type columnSelection struct {
 	colInfo core.ColumnsInfo
 }
 
-// columnFilterEq evaluates the non-indexed equality filter over col's
+// columnFilter evaluates the non-indexed filter — equality, or the
+// half-open numeric range lo <= field < hi (core.FilterRange semantics,
+// matching the row predicate under numeric widening) — over col's
 // columnar projection, clipped to the first n rows (the query's
 // snapshot length — the cached store may already reflect rows appended
 // after this query's snapshot was taken; snapshot prefixes are stable,
-// so clipping by row index is exact). ok is false when the field has no
-// column and the caller must run the row scan.
-func columnFilterEq(col *core.Collection, field string, v core.Value, n int) (*columnSelection, bool) {
+// so clipping by row index is exact). It returns nil when the field has
+// no column and the caller must run the row scan.
+func columnFilter(col *core.Collection, f *FilterSpec, v core.Value, n int) *columnSelection {
 	cs, info, err := col.ColumnsWithInfo()
 	if err != nil {
-		return nil, false
+		return nil
 	}
-	sel, st, ok := cs.FilterEqStats(field, v)
+	var (
+		sel []int32
+		st  core.ScanStats
+		ok  bool
+	)
+	if f.isRange() {
+		lo, hi := f.bounds()
+		sel, st, ok = cs.FilterRangeStats(f.Field, lo, hi)
+	} else {
+		sel, st, ok = cs.FilterEqStats(f.Field, v)
+	}
 	if !ok {
-		return nil, false
+		return nil
 	}
 	csel := clipSelection(cs, sel, n)
 	csel.scan, csel.colInfo = st, info
-	return csel, true
+	return csel
 }
 
-// columnFilterRange is columnFilterEq for the half-open numeric range
-// lo <= field < hi (core.FilterRange semantics, matching the row
-// predicate core.FieldRange under numeric widening). ok is false when
-// the field has no column and the caller must run the row scan.
-func columnFilterRange(col *core.Collection, field string, lo, hi float64, n int) (*columnSelection, bool) {
-	cs, info, err := col.ColumnsWithInfo()
-	if err != nil {
-		return nil, false
-	}
-	sel, st, ok := cs.FilterRangeStats(field, lo, hi)
-	if !ok {
-		return nil, false
-	}
-	csel := clipSelection(cs, sel, n)
-	csel.scan, csel.colInfo = st, info
-	return csel, true
-}
-
-// rowFilterRange is the row-scan fallback for a range filter (fields
-// the store cannot columnize): core.FieldRange semantics — missing
-// fields never match, non-numerics widen to NaN and fail both bounds.
-// Shared by the unsharded executor and the scatter fragments so the two
-// paths cannot drift (the N=1 byte-identity contract).
-func rowFilterRange(snap []*core.Patch, field string, lo, hi float64) []*core.Patch {
-	filtered := make([]*core.Patch, 0, len(snap)/4)
-	for _, p := range snap {
-		if mv, ok := p.Meta[field]; ok {
-			if fv := mv.AsFloat(); fv >= lo && fv < hi {
-				filtered = append(filtered, p)
-			}
+// rowFilter is the row-scan fallback for fields the column store cannot
+// project: equality under Value.Equal, or a range under
+// core.FieldRange semantics (missing fields never match, non-numerics
+// widen to NaN and fail both bounds). It checks ctx every ctxCheckRows
+// rows.
+func rowFilter(ctx context.Context, snap []*core.Patch, f *FilterSpec, v core.Value) ([]*core.Patch, error) {
+	match := v.Equal
+	if f.isRange() {
+		lo, hi := f.bounds()
+		match = func(mv core.Value) bool {
+			fv := mv.AsFloat()
+			return fv >= lo && fv < hi
 		}
 	}
-	return filtered
+	filtered := make([]*core.Patch, 0, len(snap)/4)
+	for k, p := range snap {
+		if k%ctxCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if mv, ok := p.Meta[f.Field]; ok && match(mv) {
+			filtered = append(filtered, p)
+		}
+	}
+	return filtered, nil
 }
 
 // clipSelection trims a selection list to the query's snapshot length

@@ -19,9 +19,10 @@ import (
 // that fails outright gets one retry with jittered backoff before the
 // shard is declared missing.
 //
-// The single-replica, no-fault-injection case takes a separate inline
-// path: no goroutine, no channel, no timer — the N=1/R=1 golden tests
-// see exactly the pre-hedging execution.
+// The single-replica, no-fault-injection case — every shard of a
+// service.New — takes a separate inline path: no goroutine, no channel,
+// no timer, just the attempt and its one error-retry on the caller's
+// goroutine.
 
 const (
 	// hedgeHeadroom scales the observed p99 into the hedge budget: an
@@ -138,7 +139,7 @@ func (s *Service) hedgedFragment(ctx context.Context, req *Request, fval core.Va
 
 	// Inline path: a single healthy replica and no fault injection has
 	// nothing to hedge against — run the attempt on the caller's
-	// goroutine (the R=1 golden path), keeping the one error-retry.
+	// goroutine, keeping the one error-retry.
 	if len(replicas) == 1 && s.inj == nil {
 		start := time.Now()
 		frag, snapLen, err := s.fragmentAttempt(ctx, req, fval, scol, i, replicas[0], limit, wantRows)

@@ -163,7 +163,7 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "status": "closed"})
 		return
 	}
-	if s.shards == nil || s.shards.Replicas() < 2 {
+	if s.shards.Replicas() < 2 {
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 		return
 	}

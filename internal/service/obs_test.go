@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -75,17 +76,70 @@ func spansByName(data *obs.TraceData) map[string][]obs.Span {
 	return out
 }
 
-// TestTracedScatterSpans: a traced scattered top-k query must return a
-// trace whose spans cover the whole request path — plan, queue wait,
+// TestTracedScatterSpans: a traced top-k query must return a trace
+// whose spans cover the whole request path — plan, queue wait,
 // execution, one fragment per shard (carrying shard id and scan record),
 // the k-way merge, and the cache store — and the named spans must cover
 // nearly all of the measured wall time (best of 5 attempts, since a
-// single run can be descheduled between spans).
+// single run can be descheduled between spans). A New(db) service is
+// the one-shard case of the same executor: its top-k and plain filter
+// queries carry one fragment and a merge span, and both count as
+// scatter queries on /metrics.
 func TestTracedScatterSpans(t *testing.T) {
-	const nsh = 3
-	s := obsFixture(t, nsh, 600, Config{Workers: 2})
-	str := "car"
+	for _, nsh := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", nsh), func(t *testing.T) {
+			s := obsFixture(t, nsh, 600, Config{Workers: 2})
+			data := bestTracedTopK(t, s)
+			byName := spansByName(data)
+			for _, want := range []string{"plan", "queue", "execute", "fragment", "merge", "cache-store"} {
+				if len(byName[want]) == 0 {
+					t.Fatalf("trace is missing a %q span; got %v", want, data.Spans)
+				}
+			}
+			checkFragmentSpans(t, byName["fragment"], nsh)
+			if got := byName["plan"][0].Attrs["cache"]; got != "miss" {
+				t.Fatalf("first execution's plan span says cache=%q, want miss", got)
+			}
+			if byName["execute"][0].Attrs["plan"] == "" {
+				t.Fatal("execute span carries no plan label")
+			}
 
+			// A plain filter: fragment and merge spans too.
+			str := "car"
+			resp, err := s.Query(context.Background(), Request{
+				Collection: shardTestCol,
+				Filter:     &FilterSpec{Field: "label", Str: &str},
+				Trace:      true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			byName = spansByName(resp.TraceData)
+			checkFragmentSpans(t, byName["fragment"], nsh)
+			if m := byName["merge"]; len(m) != 1 || m[0].Attrs["gather"] != "gather-count" {
+				t.Fatalf("filter merge spans = %+v, want one gather-count", m)
+			}
+
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			exp, err := obs.CheckExposition(rec.Body)
+			if err != nil {
+				t.Fatalf("/metrics is not valid exposition: %v", err)
+			}
+			// Five top-k attempts plus the filter, each executed cold.
+			if v, ok := exp.Value("deeplens_scatter_queries_total", nil); !ok || v != 6 {
+				t.Fatalf("deeplens_scatter_queries_total = %v (found=%v), want 6", v, ok)
+			}
+		})
+	}
+}
+
+// bestTracedTopK runs five traced top-k queries and returns the trace
+// whose plan/queue/execute/cache-store spans cover the largest share of
+// its wall time, failing when even that share is under 90%.
+func bestTracedTopK(t *testing.T, s *Service) *obs.TraceData {
+	t.Helper()
+	str := "car"
 	best := 0.0
 	var data *obs.TraceData
 	for attempt := 0; attempt < 5; attempt++ {
@@ -122,17 +176,21 @@ func TestTracedScatterSpans(t *testing.T) {
 	if data == nil {
 		t.Fatal("no trace captured")
 	}
-	byName := spansByName(data)
-	for _, want := range []string{"plan", "queue", "execute", "fragment", "merge", "cache-store"} {
-		if len(byName[want]) == 0 {
-			t.Fatalf("trace is missing a %q span; got %v", want, data.Spans)
-		}
+	if best < 0.90 {
+		t.Fatalf("named spans cover %.1f%% of traced wall time, want >= 90%%", 100*best)
 	}
-	if got := len(byName["fragment"]); got != nsh {
-		t.Fatalf("fragment spans = %d, want one per shard (%d)", got, nsh)
+	return data
+}
+
+// checkFragmentSpans asserts one fragment span per shard, each carrying
+// its shard id, snapshot row count and access path.
+func checkFragmentSpans(t *testing.T, frags []obs.Span, nsh int) {
+	t.Helper()
+	if len(frags) != nsh {
+		t.Fatalf("fragment spans = %d, want one per shard (%d)", len(frags), nsh)
 	}
 	shardsSeen := make(map[string]bool)
-	for _, sp := range byName["fragment"] {
+	for _, sp := range frags {
 		if sp.Attrs["shard"] == "" {
 			t.Fatalf("fragment span has no shard attr: %+v", sp)
 		}
@@ -143,15 +201,6 @@ func TestTracedScatterSpans(t *testing.T) {
 	}
 	if len(shardsSeen) != nsh {
 		t.Fatalf("fragment spans cover shards %v, want %d distinct", shardsSeen, nsh)
-	}
-	if got := byName["plan"][0].Attrs["cache"]; got != "miss" {
-		t.Fatalf("first execution's plan span says cache=%q, want miss", got)
-	}
-	if byName["execute"][0].Attrs["plan"] == "" {
-		t.Fatal("execute span carries no plan label")
-	}
-	if best < 0.90 {
-		t.Fatalf("named spans cover %.1f%% of traced wall time, want >= 90%%", 100*best)
 	}
 }
 

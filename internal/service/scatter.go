@@ -14,11 +14,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Scatter-gather execution over a sharded backend. The plan is made
-// once; its fragment runs on every shard in parallel, each shard pinned
-// to its own batcher-fronted device (so concurrent fragments' kernels
-// fuse exactly like concurrent requests'); the partial results merge at
-// the service layer:
+// Scatter-gather execution: the service's one executor for collection
+// queries. The plan is made once; its fragment runs on every shard in
+// parallel, each shard pinned to its own batcher-fronted device (so
+// concurrent fragments' kernels fuse exactly like concurrent
+// requests'); the partial results merge at the service layer:
 //
 //   - filters/projections: per-shard counts sum, row sets concatenate in
 //     shard order;
@@ -30,10 +30,10 @@ import (
 //   - cluster/distinct queries: pairs from every task re-cluster at the
 //     gather stage (union-find over the concatenated fragments).
 //
-// With one shard the fragment IS the whole plan and the merge is the
-// identity, so results (values, rows, plan strings, cost estimates) are
-// byte-identical to the unsharded execution path — the equivalence the
-// golden tests in shard_test.go pin down.
+// A plain DB (service.New) is the one-shard case: the fragment IS the
+// whole plan, the merge is the identity and the plan string carries no
+// scatter decoration. The golden files under testdata pin its values,
+// rows, plan strings, fingerprints and cost estimates.
 
 // shardFragment is one shard's partial result after the filter stage.
 type shardFragment struct {
@@ -87,10 +87,16 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, shard, snapRows int) {
 	}
 }
 
-// shardDev returns the batcher-fronted device scatter task t is pinned
-// to. Shard-local task i maps to device i%Devices, so a shard's kernels
-// always land on the same scheduler; cross tasks continue round-robin.
-func (s *Service) shardDev(t int) *exec.Batcher {
+// taskDev returns the batcher-fronted device scatter task t of an
+// nsh-shard query is pinned to. Shard-local task i maps to device
+// i%Devices, so a shard's kernels always land on the same scheduler;
+// cross tasks continue round-robin. A one-shard query runs on the
+// worker's own device, so kernel fusion and per-device load follow the
+// worker pool rather than piling onto device 0.
+func (s *Service) taskDev(w *worker, nsh, t int) *exec.Batcher {
+	if nsh == 1 {
+		return w.dev
+	}
 	return s.batchers[t%len(s.batchers)]
 }
 
@@ -130,7 +136,7 @@ func (s *Service) scatterWave(n int, fn func(t int) error) error {
 // shard's in-sync replicas (see hedge.go); when every replica of a
 // shard fails and the request allows partial results, the gather stage
 // degrades instead of erroring.
-func (s *Service) executeScatter(ctx context.Context, req *Request) (*Response, error) {
+func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -161,8 +167,8 @@ func (s *Service) executeScatter(ctx context.Context, req *Request) (*Response, 
 		}
 	}
 
-	// Effective row limit (mirrors the unsharded path: requests cap at
-	// maxRows, zero means "rows only if order/limit was asked for").
+	// Effective row limit: requests cap at maxRows, zero means "rows
+	// only if order/limit was asked for".
 	limit := req.Limit
 	if limit <= 0 || limit > maxRows {
 		limit = maxRows
@@ -195,28 +201,13 @@ func (s *Service) executeScatter(ctx context.Context, req *Request) (*Response, 
 		frags[i], errs[i] = s.hedgedFragment(fctx, req, fval, scol, i, limit, wantRows)
 		return nil // per-shard outcomes are judged below, not first-error
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err // timeout/cancel dominates any per-shard outcome
-	}
-	var missing []int
-	var shardErr error
-	for i, e := range errs {
-		if e != nil {
-			missing = append(missing, i)
-			if shardErr == nil {
-				shardErr = fmt.Errorf("shard %d: %w", i, e)
-			}
-		}
-	}
-	if len(missing) > 0 && (!req.AllowPartial || len(missing) == nsh) {
-		return nil, shardErr
-	}
-	if len(missing) > 0 {
-		s.tel.degradedQueries.Inc()
+	missing, err := s.missingShards(ctx, req, errs)
+	if err != nil {
+		return nil, err
 	}
 
 	if req.SimJoin != nil {
-		return s.simJoinScatter(ctx, req, scol, frags, missing)
+		return s.simJoinScatter(ctx, w, req, scol, frags, missing)
 	}
 
 	// ---- gather: sum counts, merge rows (nil frags = missing shards) ----
@@ -272,6 +263,34 @@ func (s *Service) executeScatter(ctx context.Context, req *Request) (*Response, 
 	return resp, nil
 }
 
+// missingShards judges the scatter wave's per-shard outcomes: the
+// query's own timeout or cancellation dominates; otherwise failed
+// shards fail the query unless it allows partial results and at least
+// one shard answered, in which case they are returned as missing and
+// the query counts as degraded.
+func (s *Service) missingShards(ctx context.Context, req *Request, errs []error) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var missing []int
+	var shardErr error
+	for i, e := range errs {
+		if e != nil {
+			missing = append(missing, i)
+			if shardErr == nil {
+				shardErr = fmt.Errorf("shard %d: %w", i, e)
+			}
+		}
+	}
+	if len(missing) > 0 && (!req.AllowPartial || len(missing) == len(errs)) {
+		return nil, shardErr
+	}
+	if len(missing) > 0 {
+		s.tel.degradedQueries.Inc()
+	}
+	return missing, nil
+}
+
 // gatherLabel names the merge strategy for plain (non-join) queries.
 func gatherLabel(req *Request) string {
 	switch {
@@ -284,10 +303,10 @@ func gatherLabel(req *Request) string {
 	}
 }
 
-// scatterPlan renders the physical plan string. One shard reproduces
-// the unsharded plan byte for byte (the N=1 contract); more shards wrap
-// the fragment pipeline in a scatter[N(+C)] -> gather decoration, C
-// being the cross-shard join task count.
+// scatterPlan renders the physical plan string. One shard renders the
+// fragment pipeline undecorated; more shards wrap it in a
+// scatter[N(+C)] -> gather decoration, C being the cross-shard join
+// task count.
 func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) string {
 	if nsh == 1 {
 		return joinPlan(fragOps)
@@ -300,123 +319,81 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 }
 
 // filterFragment runs the filter stage of the plan on replica r of
-// shard i's snapshot, using the replica-local hash index when the plan
-// asks for it. It checks ctx between blocks of row work so a canceled
-// caller (or a hedge loser) stops promptly instead of burning the
-// full scan.
+// shard i's snapshot: the replica-local hash index (equality) or B-tree
+// (range) when the plan asks for one, else the columnar scan, else the
+// row scan. Each access path reports its duration to the shared cost
+// model. The index-fetch and row-scan loops check ctx every
+// ctxCheckRows rows, so a canceled caller (or a hedge loser) stops
+// promptly instead of burning the full scan.
 func (s *Service) filterFragment(ctx context.Context, req *Request, fval core.Value, scol *core.ShardedCollection, i, r int, snap []*core.Patch) (*shardFragment, error) {
 	frag := &shardFragment{filtered: snap}
 	f := req.Filter
 	if f == nil {
 		return frag, nil
 	}
-	// Fragments feed the same observed-latency state as the unsharded
-	// path: each replica's filter stage reports its access path and
-	// duration to the shared cost model.
-	fltStart := time.Now()
-	var fltMethod core.FilterMethod
-	fltUnits := 0
-	defer func() {
-		if fltMethod != 0 {
-			s.cost.ObserveFilter(fltMethod, fltUnits, time.Since(fltStart))
-		}
-	}()
+	start := time.Now()
 	col := scol.Replica(i, r)
+	method, units := core.FilterScan, len(snap)
+	var err error
+	if f.UseIndex {
+		var ids []core.PatchID
+		if method, ids, err = s.indexLookup(col, i, r, f, fval); err == nil {
+			units = len(ids)
+			frag.filtered, err = fetchPatches(ctx, col, ids)
+		}
+	} else if frag.csel = columnFilter(col, f, fval, len(snap)); frag.csel != nil {
+		method, frag.filtered = core.FilterColumnScan, frag.csel.rows
+	} else {
+		frag.filtered, err = rowFilter(ctx, snap, f, fval)
+	}
+	if err != nil {
+		return nil, err
+	}
+	frag.planOps = []string{fmt.Sprintf("%s(%s)", method, f.Field)}
+	frag.cost = s.cost.FilterCost(method, len(snap), units)
+	s.cost.ObserveFilter(method, units, time.Since(start))
+	return frag, nil
+}
+
+// indexLookup probes replica r of shard i's index on the filter field
+// (hash for equality, B-tree for a range), building it if the
+// collection moved past it, and returns the access method and the
+// matching ids.
+func (s *Service) indexLookup(col *core.Collection, i, r int, f *FilterSpec, v core.Value) (core.FilterMethod, []core.PatchID, error) {
+	method, kind := core.FilterHashIndex, core.IdxHash
+	if f.isRange() {
+		method, kind = core.FilterBTreeIndex, core.IdxBTree
+	}
+	idx, err := s.ensureIndexOn(s.shards.ReplicaDB(i, r), replicaScope(i, r), col, f.Field, kind)
+	if err != nil {
+		return method, nil, err
+	}
+	var ids []core.PatchID
 	if f.isRange() {
 		lo, hi := f.bounds()
-		if f.UseIndex {
-			idx, err := s.ensureIndexOn(s.shards.ReplicaDB(i, r), replicaScope(i, r), col, f.Field, core.IdxBTree)
-			if err != nil {
-				return nil, err
-			}
-			ids, err := btreeRangeIDs(idx, lo, hi)
-			if err != nil {
-				return nil, err
-			}
-			filtered := make([]*core.Patch, 0, len(ids))
-			for k, id := range ids {
-				if k%ctxCheckRows == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				p, err := col.Get(id)
-				if err != nil {
-					return nil, err
-				}
-				filtered = append(filtered, p)
-			}
-			frag.filtered = filtered
-			frag.planOps = append(frag.planOps, fmt.Sprintf("btree-index(%s)", f.Field))
-			frag.cost += s.cost.FilterCost(core.FilterBTreeIndex, len(snap), len(ids))
-			fltMethod, fltUnits = core.FilterBTreeIndex, len(ids)
-		} else if cf, ok := columnFilterRange(col, f.Field, lo, hi, len(snap)); ok {
-			frag.filtered = cf.rows
-			frag.csel = cf
-			frag.planOps = append(frag.planOps, fmt.Sprintf("column-scan(%s)", f.Field))
-			frag.cost += s.cost.FilterCost(core.FilterColumnScan, len(snap), 0)
-			fltMethod, fltUnits = core.FilterColumnScan, len(snap)
-		} else {
-			frag.filtered = rowFilterRange(snap, f.Field, lo, hi)
-			frag.planOps = append(frag.planOps, fmt.Sprintf("scan-filter(%s)", f.Field))
-			frag.cost += float64(len(snap)) * scanCmpCostSec
-			fltMethod, fltUnits = core.FilterScan, len(snap)
-		}
-		return frag, nil
-	}
-	if f.UseIndex {
-		idx, err := s.ensureIndexOn(s.shards.ReplicaDB(i, r), replicaScope(i, r), col, f.Field, core.IdxHash)
-		if err != nil {
-			return nil, err
-		}
-		ids, err := idx.LookupEq(fval)
-		if err != nil {
-			return nil, err
-		}
-		filtered := make([]*core.Patch, 0, len(ids))
-		for k, id := range ids {
-			if k%ctxCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			p, err := col.Get(id)
-			if err != nil {
-				return nil, err
-			}
-			filtered = append(filtered, p)
-		}
-		frag.filtered = filtered
-		frag.planOps = append(frag.planOps, fmt.Sprintf("hash-index(%s)", f.Field))
-		frag.cost += float64(len(ids)) * s.cost.CFetch
-		fltMethod, fltUnits = core.FilterHashIndex, len(ids)
-	} else if cf, ok := columnFilterEq(col, f.Field, fval, len(snap)); ok {
-		// Columnar fragment: each replica prunes and scans its own blocks
-		// (same kernels, labels and cost accounting as the unsharded
-		// path, so N=1 plans stay byte-identical).
-		frag.filtered = cf.rows
-		frag.csel = cf
-		frag.planOps = append(frag.planOps, fmt.Sprintf("column-scan(%s)", f.Field))
-		frag.cost += s.cost.FilterCost(core.FilterColumnScan, len(snap), 0)
-		fltMethod, fltUnits = core.FilterColumnScan, len(snap)
+		ids, err = btreeRangeIDs(idx, lo, hi)
 	} else {
-		filtered := make([]*core.Patch, 0, len(snap)/4)
-		for k, p := range snap {
-			if k%ctxCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if mv, ok := p.Meta[f.Field]; ok && mv.Equal(fval) {
-				filtered = append(filtered, p)
+		ids, err = idx.LookupEq(v)
+	}
+	return method, ids, err
+}
+
+// fetchPatches resolves index hits to patches in id order.
+func fetchPatches(ctx context.Context, col *core.Collection, ids []core.PatchID) ([]*core.Patch, error) {
+	out := make([]*core.Patch, 0, len(ids))
+	for k, id := range ids {
+		if k%ctxCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
-		frag.filtered = filtered
-		frag.planOps = append(frag.planOps, fmt.Sprintf("scan-filter(%s)", f.Field))
-		frag.cost += float64(len(snap)) * scanCmpCostSec
-		fltMethod, fltUnits = core.FilterScan, len(snap)
+		p, err := col.Get(id)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
 	}
-	return frag, nil
+	return out, nil
 }
 
 // ctxCheckRows is the row stride between cancellation checks in scan
@@ -453,7 +430,7 @@ type joinTask struct {
 // have nil fragments (every replica failed under allow_partial): they
 // contribute no tasks, and the degraded pair set covers only the
 // surviving shards.
-func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.ShardedCollection, frags []*shardFragment, missing []int) (*Response, error) {
+func (s *Service) simJoinScatter(ctx context.Context, w *worker, req *Request, scol *core.ShardedCollection, frags []*shardFragment, missing []int) (*Response, error) {
 	sj := req.SimJoin
 	nsh := len(frags)
 
@@ -506,7 +483,7 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 		if err := s.inj.Stall(ctx, fault.DeviceStall, task.left, 0); err != nil {
 			return err
 		}
-		dev := s.shardDev(t)
+		dev := s.taskDev(w, nsh, t)
 		// Join tasks submit kernels: register with the device's batcher so
 		// its adaptive flush knows a submitter is mid-query (default flush
 		// policy only — an explicit BatchWindow is honored strictly).
@@ -516,12 +493,7 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 		}
 		sp := req.tr.Begin("join-task")
 		odev := s.observedDev(dev, req.tr)
-		var err error
-		if task.left == task.right {
-			err = s.runLocalJoin(task, sj, frags[task.left].filtered, scol, dim, hasIndex, dev, odev)
-		} else {
-			err = s.runCrossJoin(task, sj, frags[task.left].filtered, frags[task.right].filtered, scol, dim, hasIndex, dev, odev)
-		}
+		err := s.runJoin(task, sj, frags[task.left].filtered, frags[task.right].filtered, scol, dim, hasIndex, dev, odev)
 		sp.End()
 		if err == nil {
 			sp.AttrInt("left", int64(task.left)).
@@ -553,10 +525,14 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 		}
 		resp.EstCostSec += frag.cost
 	}
-	for _, task := range tasks {
-		pairs = append(pairs, task.pairs...)
+	for i, task := range tasks {
+		if i == 0 {
+			pairs = task.pairs // a one-task join hands its pairs through uncopied
+		} else {
+			pairs = append(pairs, task.pairs...)
+		}
 		resp.EstCostSec += task.cost
-		if label == "" && task.label != "" {
+		if label == "" {
 			label = task.label
 		}
 	}
@@ -594,56 +570,22 @@ func shardVectorIndex(col *core.Collection, field string) (*core.VectorIndex, er
 	return col.VectorIndexAt(snap, ver, field, core.VecExact)
 }
 
-// runLocalJoin is shard i's self-join over its own fragment — exactly
-// the unsharded similarity join, shard-local index and all.
-func (s *Service) runLocalJoin(task *joinTask, sj *SimJoinSpec, filtered []*core.Patch, scol *core.ShardedCollection, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
-	i := task.left
-	col := scol.Shard(i)
-	db := s.shards.Shard(i)
-	n := len(filtered)
-	sp := s.cost.PlanSimilarityJoinVec(n, n, dim, hasIndex)
-	task.cost = sp.EstCost
-	opts := core.SimilarityJoinOpts{
-		LeftField: sj.Field, RightField: sj.Field,
-		Eps: sj.Eps, DedupUnordered: true, Device: odev,
-	}
-	var pairs []core.Tuple
-	var err error
-	switch sp.Method {
-	case core.SimVecIndexed:
-		vi, ierr := shardVectorIndex(col, sj.Field)
-		if ierr != nil {
-			return ierr
-		}
-		pairs, err = core.SimilarityJoinVecIndexed(filtered, col, vi, opts)
-	case core.SimOnTheFly:
-		pairs, err = core.SimilarityJoinOnTheFly(filtered, filtered, opts)
-	case core.SimBatched:
-		pairs, err = core.SimilarityJoinBatched(db, filtered, filtered, opts)
-	default:
-		pairs, err = core.SimilarityJoinNested(filtered, filtered, opts)
-	}
-	if err != nil {
-		return err
-	}
-	task.pairs = pairs
-	task.label = fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", sp.Method, dev.Kind(), sj.Field, sj.Eps)
-	return nil
-}
-
-// runCrossJoin joins shard i's fragment against shard j's. The two row
-// sets are disjoint (every patch has one home shard), so no dedup is
-// needed: each qualifying cross-shard pair materializes exactly once,
-// which together with the deduped local self-joins reproduces the
-// unsharded DedupUnordered pair set.
-func (s *Service) runCrossJoin(task *joinTask, sj *SimJoinSpec, left, right []*core.Patch, scol *core.ShardedCollection, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
+// runJoin joins shard task.left's fragment against shard task.right's
+// under the planned method, probing the right shard's local vector
+// index on the indexed path. A local task (left == right) self-joins
+// with unordered-pair dedup, exactly the single-collection join. The
+// two sides of a cross task are disjoint (every patch has one home
+// shard), so each qualifying cross-shard pair materializes exactly
+// once without dedup — together with the deduped local self-joins that
+// reproduces the one-shard DedupUnordered pair set.
+func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left, right []*core.Patch, scol *core.ShardedCollection, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
 	j := task.right
-	dbR, colR := s.shards.Shard(j), scol.Shard(j)
+	colR := scol.Shard(j)
 	sp := s.cost.PlanSimilarityJoinVec(len(left), len(right), dim, hasIndex)
 	task.cost = sp.EstCost
 	opts := core.SimilarityJoinOpts{
 		LeftField: sj.Field, RightField: sj.Field,
-		Eps: sj.Eps, Device: odev,
+		Eps: sj.Eps, DedupUnordered: task.left == j, Device: odev,
 	}
 	var pairs []core.Tuple
 	var err error
@@ -657,7 +599,7 @@ func (s *Service) runCrossJoin(task *joinTask, sj *SimJoinSpec, left, right []*c
 	case core.SimOnTheFly:
 		pairs, err = core.SimilarityJoinOnTheFly(left, right, opts)
 	case core.SimBatched:
-		pairs, err = core.SimilarityJoinBatched(dbR, left, right, opts)
+		pairs, err = core.SimilarityJoinBatched(s.shards.Shard(j), left, right, opts)
 	default:
 		pairs, err = core.SimilarityJoinNested(left, right, opts)
 	}
@@ -665,6 +607,7 @@ func (s *Service) runCrossJoin(task *joinTask, sj *SimJoinSpec, left, right []*c
 		return err
 	}
 	task.pairs = pairs
+	task.label = fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", sp.Method, dev.Kind(), sj.Field, sj.Eps)
 	return nil
 }
 
@@ -693,8 +636,8 @@ type rowStream struct {
 }
 
 // rowHeap orders streams by their head row (ties resolve in shard
-// order, mirroring the stable concatenate-then-sort the unsharded path
-// would produce).
+// order, mirroring a stable sort over the shards' rows concatenated in
+// shard order).
 type rowHeap struct {
 	streams []*rowStream
 	field   string

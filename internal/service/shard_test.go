@@ -1,23 +1,27 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 )
 
-// Scatter-gather tests: the sharded execution path against synthetic
-// collections built directly through the storage layer (no ETL), so the
-// matrix runs in milliseconds and the N=1 golden comparison can pin
-// byte-identical behavior against the unsharded path.
+// Scatter-gather tests: the executor against synthetic collections built
+// directly through the storage layer (no ETL), so the matrix runs in
+// milliseconds. One-shard answers are pinned by golden files under
+// testdata; wider fan-outs are checked against the one-shard answer.
 
 const shardTestCol = "synth.dets"
 
@@ -63,7 +67,8 @@ func fillSynth(t *testing.T, appendFn func(*core.Patch) error, rows int) {
 	}
 }
 
-// synthUnsharded builds a plain DB + service over `rows` synthetic rows.
+// synthUnsharded builds a plain DB + New service over `rows` synthetic
+// rows.
 func synthUnsharded(t *testing.T, rows int, cfg Config) (*core.DB, *Service) {
 	t.Helper()
 	db, err := core.Open(filepath.Join(t.TempDir(), "plain.db"), exec.New(exec.CPU))
@@ -144,9 +149,9 @@ func queryMatrix() []Request {
 
 func fp(f float64) *float64 { return &f }
 
-// goldenKey reduces a response to the bytes that must match between the
-// unsharded path and sharded N=1: answer, rows, plan, fingerprint and
-// cost estimate (serving metadata like durations naturally differs).
+// goldenKey reduces a response to the bytes a golden file pins: answer,
+// rows, plan, fingerprint and cost estimate (serving metadata like
+// durations naturally differs).
 func goldenKey(t *testing.T, r *Response) string {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{
@@ -162,28 +167,50 @@ func goldenKey(t *testing.T, r *Response) string {
 	return string(b)
 }
 
-// TestShardedN1GoldenEquivalence: a one-shard sharded service must be
-// byte-identical to the unsharded path on the full query matrix —
-// values, rows, plan strings, fingerprints and cost estimates.
+// checkGolden runs reqs against s and compares each response's
+// goldenKey with the matching entry of testdata/<file>. The files were
+// captured from the former unsharded executor (a separate code path
+// beside scatter-gather) and from a one-shard NewSharded service, which
+// agreed byte for byte; they change only with a deliberate change of
+// output.
+func checkGolden(t *testing.T, file string, s *Service, reqs []Request) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []json.RawMessage
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	if len(want) != len(reqs) {
+		t.Fatalf("%s holds %d answers for %d requests", file, len(want), len(reqs))
+	}
+	for qi, req := range reqs {
+		r, err := s.Query(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s q%d: %v", file, qi, err)
+		}
+		var w bytes.Buffer
+		if err := json.Compact(&w, want[qi]); err != nil {
+			t.Fatal(err)
+		}
+		if got := goldenKey(t, r); got != w.String() {
+			t.Errorf("%s q%d diverges:\n  got:    %s\n  golden: %s", file, qi, got, w.String())
+		}
+	}
+}
+
+// TestShardedN1GoldenEquivalence: New(db) and a one-shard NewSharded
+// service answer the full query matrix byte-identically to the golden
+// file — values, rows, plan strings, fingerprints and cost estimates.
 func TestShardedN1GoldenEquivalence(t *testing.T) {
 	const rows = 240
 	cfg := Config{Workers: 2}
 	_, plain := synthUnsharded(t, rows, cfg)
+	checkGolden(t, "golden_queries.json", plain, queryMatrix())
 	_, sharded := synthSharded(t, 1, rows, cfg)
-	ctx := context.Background()
-	for qi, req := range queryMatrix() {
-		pr, err := plain.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("query %d unsharded: %v", qi, err)
-		}
-		sr, err := sharded.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("query %d sharded N=1: %v", qi, err)
-		}
-		if pg, sg := goldenKey(t, pr), goldenKey(t, sr); pg != sg {
-			t.Errorf("query %d diverges:\n  unsharded: %s\n  sharded-1: %s", qi, pg, sg)
-		}
-	}
+	checkGolden(t, "golden_queries.json", sharded, queryMatrix())
 }
 
 // TestScatterGatherValueEquivalence: counts, pair counts and cluster
@@ -412,5 +439,116 @@ func ip(i int64) *int64 { return &i }
 func TestShardedServiceRejectsNil(t *testing.T) {
 	if _, err := NewSharded(nil, Config{}); err == nil {
 		t.Fatal("NewSharded(nil) succeeded")
+	}
+}
+
+// cancelAfter is a context whose Err turns context.Canceled after n
+// polls. A scan loop that checks it every stride stops partway through;
+// one that polls only before starting would run to the end.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.n.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestScanLoopsHonorCancellation: every service scan loop — the eq and
+// range row scans, the hash-index and B-tree fetches, and the k-way
+// merge — polls its context at its stride and returns context.Canceled
+// when it is cancelled mid-scan, instead of finishing the scan. Each
+// context allows one poll, so the loop must stop at its second stride.
+func TestScanLoopsHonorCancellation(t *testing.T) {
+	// 3 labels cycle, so label=car matches just over ctxCheckRows rows:
+	// every loop below has a second stride to stop at.
+	const rows = 3*ctxCheckRows + 3
+	_, svc := synthUnsharded(t, rows, Config{Workers: 1})
+	scol, err := svc.shards.Collection(shardTestCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := scol.Shard(0).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(s string) *string { return &s }
+	car := &FilterSpec{Field: "label", Str: str("car")}
+	ranked := &FilterSpec{Field: "rank", Min: fp(0)}
+	fragment := func(f *FilterSpec) func(context.Context) (int, error) {
+		return func(ctx context.Context) (int, error) {
+			fval, _ := f.value()
+			if f.isRange() {
+				fval = core.Value{}
+			}
+			frag, err := svc.filterFragment(ctx, &Request{Collection: shardTestCol, Filter: f}, fval, scol, 0, 0, snap)
+			if err != nil {
+				return 0, err
+			}
+			return len(frag.filtered), nil
+		}
+	}
+	rowScan := func(f *FilterSpec) func(context.Context) (int, error) {
+		return func(ctx context.Context) (int, error) {
+			fval, _ := f.value()
+			got, err := rowFilter(ctx, snap, f, fval)
+			return len(got), err
+		}
+	}
+	sorted := sortRows(snap, "rank", false)
+	frags := []*shardFragment{{rows: sorted[:rows/2]}, {rows: sorted[rows/2:]}}
+	for _, tc := range []struct {
+		name string
+		want int // matches with a live context
+		run  func(context.Context) (int, error)
+	}{
+		{"eq row scan", rows / 3, rowScan(car)},
+		{"range row scan", rows, rowScan(ranked)},
+		{"hash-index fetch", rows / 3, fragment(&FilterSpec{Field: "label", Str: str("car"), UseIndex: true})},
+		{"btree fetch", rows, fragment(&FilterSpec{Field: "rank", Min: fp(0), UseIndex: true})},
+		{"k-way merge", maxRows, func(ctx context.Context) (int, error) {
+			got, err := mergeSortedRows(ctx, frags, "rank", false, maxRows)
+			return len(got), err
+		}},
+	} {
+		if n, err := tc.run(context.Background()); err != nil || n != tc.want {
+			t.Fatalf("%s: live context gave %d rows, %v; want %d", tc.name, n, err, tc.want)
+		}
+		if _, err := tc.run(newCancelAfter(1)); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled mid-scan, got err %v; want context.Canceled", tc.name, err)
+		}
+	}
+}
+
+// TestOneShardJoinRunsOnWorkerDevice: a one-shard service submits a
+// join's kernels to the executing worker's own device, never to the
+// shard-pinned device 0, so per-device load and fusion follow the worker
+// pool as they do for every other kernel the worker submits.
+func TestOneShardJoinRunsOnWorkerDevice(t *testing.T) {
+	_, s := synthUnsharded(t, 240, Config{Workers: 2, Devices: 2})
+	kernels := func(d int) int64 {
+		st := s.batchers[d].BatcherStats()
+		return st.Submitted + st.PassThrough
+	}
+	w := &worker{id: 1, dev: s.batchers[1]}
+	req := &Request{Collection: shardTestCol, SimJoin: &SimJoinSpec{Field: "emb", Eps: 0.2}, NoCache: true}
+	resp, err := s.execute(context.Background(), w, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kernels(1) == 0 {
+		t.Fatalf("worker 1's device received no join kernels (plan %s)", resp.Plan)
+	}
+	if n := kernels(0); n != 0 {
+		t.Fatalf("device 0 received %d kernels of worker 1's join", n)
 	}
 }

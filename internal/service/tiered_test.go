@@ -19,9 +19,10 @@ import (
 // genuinely spill and reload under the budget.
 
 // TestTieredBudgetGoldenEquivalence runs the full query matrix against
-// a budgeted and an unbudgeted service over identical data, unsharded
-// (N=1) and 3-way sharded, comparing values, rows, plan strings,
-// fingerprints and cost estimates byte for byte.
+// a budgeted and an unbudgeted service over identical data, comparing
+// values, rows, plan strings, fingerprints and cost estimates byte for
+// byte: one-shard (New) services against the golden file, 3-way sharded
+// services against each other.
 func TestTieredBudgetGoldenEquivalence(t *testing.T) {
 	const rows = 3*1024 + 300
 	const budget = 32 << 10
@@ -29,21 +30,8 @@ func TestTieredBudgetGoldenEquivalence(t *testing.T) {
 	tiered := Config{Workers: 2, ColumnMemBudget: budget}
 	ctx := context.Background()
 
-	compare := func(name string, plain, budgeted *Service) {
+	checkStats := func(name string, plain, budgeted *Service) {
 		t.Helper()
-		for qi, req := range queryMatrix() {
-			pr, err := plain.Query(ctx, req)
-			if err != nil {
-				t.Fatalf("%s q%d unbudgeted: %v", name, qi, err)
-			}
-			br, err := budgeted.Query(ctx, req)
-			if err != nil {
-				t.Fatalf("%s q%d budgeted: %v", name, qi, err)
-			}
-			if pk, bk := goldenKey(t, pr), goldenKey(t, br); pk != bk {
-				t.Fatalf("%s q%d diverges under memory budget:\n  unbudgeted: %s\n  budgeted:   %s", name, qi, pk, bk)
-			}
-		}
 		st := budgeted.Stats()
 		if st.SegmentSpills == 0 {
 			t.Fatalf("%s: no segments spilled under a %d-byte budget", name, budget)
@@ -64,11 +52,26 @@ func TestTieredBudgetGoldenEquivalence(t *testing.T) {
 
 	_, plain := synthUnsharded(t, rows, base)
 	_, budgeted := synthUnsharded(t, rows, tiered)
-	compare("N=1", plain, budgeted)
+	checkGolden(t, "golden_queries_tiered.json", plain, queryMatrix())
+	checkGolden(t, "golden_queries_tiered.json", budgeted, queryMatrix())
+	checkStats("N=1", plain, budgeted)
 
 	_, plainSh := synthSharded(t, 3, rows, base)
 	_, budgetedSh := synthSharded(t, 3, rows, tiered)
-	compare("N=3", plainSh, budgetedSh)
+	for qi, req := range queryMatrix() {
+		pr, err := plainSh.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("N=3 q%d unbudgeted: %v", qi, err)
+		}
+		br, err := budgetedSh.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("N=3 q%d budgeted: %v", qi, err)
+		}
+		if pk, bk := goldenKey(t, pr), goldenKey(t, br); pk != bk {
+			t.Fatalf("N=3 q%d diverges under memory budget:\n  unbudgeted: %s\n  budgeted:   %s", qi, pk, bk)
+		}
+	}
+	checkStats("N=3", plainSh, budgetedSh)
 }
 
 // TestTopKSegmentAttribution: a traced top-k over a spilled column must
